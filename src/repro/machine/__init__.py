@@ -23,6 +23,7 @@ from .isa import (
 )
 from .machine import CM2
 from .memory import (
+    MachinePort,
     MachineStorage,
     MemoryError_,
     NodeMemory,
@@ -62,6 +63,7 @@ __all__ = [
     "MAOp",
     "MemDirection",
     "MemRef",
+    "MachinePort",
     "MachineStorage",
     "MemoryError_",
     "MicrocodeRoutine",

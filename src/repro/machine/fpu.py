@@ -24,6 +24,17 @@ schedule: reversal spacing, chain protocol, register validity, and
 store-before-writeback hazards all raise :class:`ScheduleError`, so a
 register-allocation or code-generation bug fails loudly instead of
 producing quietly wrong numbers.
+
+The CM-2 is synchronous SIMD: the sequencer broadcasts one instruction
+stream and every node executes it against its own memory.  A unit
+streaming from a :class:`~repro.machine.memory.MachinePort` models all
+of those nodes at once: registers, pending writebacks and chain sums
+carry a node ("lane") axis, and each cycle's multiply and add run
+elementwise across the lanes.  Elementwise
+float32 arithmetic rounds exactly like the scalar operations, so every
+lane is bit-identical to a one-node run; and since every schedule check
+depends only on the instruction stream, each runs once per cycle for
+all lanes.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .isa import Instr, LoadOp, MAOp, MemDirection, NopOp, StoreOp
-from .memory import NodeMemory
+from .memory import MemoryPort
 from .params import MachineParams
 
 
@@ -63,7 +74,7 @@ class _AddEvent:
     """A product entering the adder, scheduled at multiply-issue + 2."""
 
     thread: int
-    product: np.float32
+    product: np.ndarray  # a float32 scalar, or one value per lane
     first: bool
     last: bool
     addend_reg: int
@@ -76,12 +87,20 @@ class Wtl3164:
     The object is stateful across calls so a sequencer can feed it one
     line of instructions at a time, interleaved with stall cycles for
     its own overhead; :meth:`drain` settles trailing pipeline events.
+
+    The unit takes its lane shape from ``memory``: a
+    :class:`~repro.machine.memory.NodeMemory` (``lanes == ()``) is one
+    node with scalar registers; a
+    :class:`~repro.machine.memory.MachinePort` (``lanes == (nodes,)``)
+    steps every node of a machine in lockstep.  Register validity and
+    all other pipeline state besides the values are properties of the
+    instruction stream, shared by every lane.
     """
 
     def __init__(
         self,
         params: MachineParams,
-        memory: NodeMemory,
+        memory: MemoryPort,
         *,
         zero_reg: int = 0,
         unit_reg: Optional[int] = None,
@@ -90,7 +109,9 @@ class Wtl3164:
         self.memory = memory
         self.zero_reg = zero_reg
         self.unit_reg = unit_reg
-        self.regs = np.zeros(params.registers, dtype=np.float32)
+        self.regs = np.zeros(
+            (params.registers,) + memory.lanes, dtype=np.float32
+        )
         self.valid = np.zeros(params.registers, dtype=bool)
         self.valid[zero_reg] = True
         if unit_reg is not None:
@@ -98,10 +119,10 @@ class Wtl3164:
             self.valid[unit_reg] = True
         self.cycle = 0
         self.stats = FpuStats()
-        self._pending_writes: Dict[int, List[Tuple[int, np.float32]]] = {}
+        self._pending_writes: Dict[int, List[Tuple[int, np.ndarray]]] = {}
         self._add_events: Dict[int, List[_AddEvent]] = {}
         self._chain_open: Dict[int, bool] = {}
-        self._chain_sum: Dict[int, np.float32] = {}
+        self._chain_sum: Dict[int, np.ndarray] = {}
         self._last_mem_direction: Optional[MemDirection] = None
         self._last_mem_cycle: Optional[int] = None
 
@@ -189,7 +210,7 @@ class Wtl3164:
                     f"thread {event.thread}: chained add with no open chain"
                 )
             base = self._chain_sum[event.thread]
-        total = np.float32(base + event.product)
+        total = base + event.product
         if event.last:
             when = self.cycle + self.params.add_to_writeback_cycles
             self._pending_writes.setdefault(when, []).append(
@@ -238,7 +259,8 @@ class Wtl3164:
             )
         self._touch_memory(MemDirection.READ)
         coeff_value = self.memory.read(instr.mem)
-        product = np.float32(coeff_value * self.regs[op.data_reg])
+        # float32 times float32 rounds to float32, per lane or scalar.
+        product = coeff_value * self.regs[op.data_reg]
         when = self.cycle + self.params.mult_to_add_cycles
         self._add_events.setdefault(when, []).append(
             _AddEvent(

@@ -11,7 +11,7 @@ measurements ("All measurements are for single-precision (that is,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class AccessCounts:
 
 class NodeMemory:
     """Named 2-D float32 buffers with bounds-checked, counted access."""
+
+    #: One node: values read and written are scalars (no lane axis).
+    lanes: Tuple[int, ...] = ()
 
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
@@ -182,6 +185,105 @@ class NodeMemory:
     def total_words(self) -> int:
         """Total words allocated (for temporary-storage accounting)."""
         return sum(buf.size for buf in self._buffers.values())
+
+
+class MachinePort:
+    """Every node's memory behind one port: the SIMD view of the machine.
+
+    The sequencer broadcasts one address stream to all nodes, so a
+    cycle's access touches the same ``(row, col)`` of the same buffer on
+    every node.  The port serves that access for all nodes at once with
+    :class:`NodeMemory`'s ``read(ref)``/``write(ref, value)`` interface,
+    where a value carries one element per node (lane ``i`` is the
+    ``i``-th node of ``machine.nodes()``, row-major over the grid).
+
+    A buffer name resolves, on first use, to a ``(nodes, rows, cols)``
+    array: a reshape of the intact machine-wide stack (no copy, so
+    writes land in node memory directly), or else -- a node's buffer
+    detached from the stack, or no stack at all, as for the 1x1
+    constant pages -- a copy gathered from the node memories, staged
+    once per port.  :meth:`settle` scatters written copies back and
+    charges the access counts to every node's :attr:`NodeMemory.counts`.
+    """
+
+    def __init__(self, machine) -> None:
+        self._machine = machine
+        self._nodes = tuple(machine.nodes())
+        self.lanes: Tuple[int, ...] = (len(self._nodes),)
+        #: Accesses per node (every node makes the same ones).
+        self.counts = AccessCounts()
+        self._buffers: Dict[str, np.ndarray] = {}
+        self._gathered: Dict[str, bool] = {}  # name -> written since staged
+
+    def ensure_constant_pages(self, values=()) -> None:
+        """Allocate the constant pages on every node (see
+        :meth:`NodeMemory.ensure_constant_pages`)."""
+        for node in self._nodes:
+            node.memory.ensure_constant_pages(values)
+
+    def buffer(self, name: str) -> np.ndarray:
+        """The ``(nodes, rows, cols)`` lane array behind ``name``."""
+        lanes = self._buffers.get(name)
+        if lanes is None:
+            lanes = self._stage(name)
+        return lanes
+
+    def _stage(self, name: str) -> np.ndarray:
+        stack = self._machine.stacked(name)
+        if stack is not None and stack.flags.c_contiguous:
+            lanes = stack.reshape(self.lanes + stack.shape[2:])
+        else:
+            buffers = [node.memory.buffer(name) for node in self._nodes]
+            shapes = {buffer.shape for buffer in buffers}
+            if len(shapes) != 1:
+                raise MemoryError_(
+                    f"buffer {name!r} differs in shape across nodes: "
+                    f"{sorted(shapes)}"
+                )
+            lanes = np.stack(buffers)
+            self._gathered[name] = False
+        self._buffers[name] = lanes
+        return lanes
+
+    def read(self, ref: MemRef) -> np.ndarray:
+        lanes = self.buffer(ref.buffer)
+        self._check(lanes, ref)
+        self.counts.reads += 1
+        # A copy: a load must not see a later store to the same word.
+        return lanes[:, ref.row, ref.col].copy()
+
+    def write(self, ref: MemRef, value: np.ndarray) -> None:
+        lanes = self.buffer(ref.buffer)
+        self._check(lanes, ref)
+        self.counts.writes += 1
+        lanes[:, ref.row, ref.col] = value
+        if ref.buffer in self._gathered:
+            self._gathered[ref.buffer] = True
+
+    def _check(self, lanes: np.ndarray, ref: MemRef) -> None:
+        rows, cols = lanes.shape[1:]
+        if not (0 <= ref.row < rows and 0 <= ref.col < cols):
+            raise MemoryError_(
+                f"access ({ref.row}, {ref.col}) outside buffer "
+                f"{ref.buffer!r} of shape {(rows, cols)}"
+            )
+
+    def settle(self) -> None:
+        """Scatter written staged copies back into node memory and add
+        this port's access counts to every node's counters.  Call once,
+        after the walk."""
+        for name, written in self._gathered.items():
+            if written:
+                for node, tile in zip(self._nodes, self._buffers[name]):
+                    node.memory.buffer(name)[...] = tile
+        for node in self._nodes:
+            node.memory.counts.reads += self.counts.reads
+            node.memory.counts.writes += self.counts.writes
+
+
+#: What a :class:`~repro.machine.fpu.Wtl3164` streams from: one node's
+#: memory, or every node's at once.
+MemoryPort = Union[NodeMemory, MachinePort]
 
 
 @dataclass(frozen=True)

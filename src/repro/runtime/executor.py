@@ -2,10 +2,12 @@
 
 Two execution modes with identical semantics:
 
-* **exact** -- every node's half-strips run through the cycle-stepped
-  sequencer + WTL3164 model: real register contents, ring-buffer
-  rotation, writeback timing, and exact cycle counts.  Used by the
-  correctness tests (and usable anywhere, just slow).
+* **exact** -- the half-strips run through the cycle-stepped sequencer
+  + WTL3164 model: real register contents, ring-buffer rotation,
+  writeback timing, and exact cycle counts.  One sequencer walk drives
+  every node at once, each node a lane of the FPU's float32 state (the
+  machine is synchronous SIMD).  Used by the correctness tests (and
+  usable anywhere, just slow).
 * **fast** -- numerics computed vectorized per node in the *same
   accumulation order* the schedules use (so results are bit-identical in
   float32), with cycles from the closed-form cost model that the exact
@@ -20,12 +22,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..compiler.plan import CompiledStencil
+from ..machine.fpu import FpuStats, Wtl3164
 from ..machine.machine import CM2
+from ..machine.memory import MachinePort, MemoryPort, parity_word
 from ..machine.node import Node
 from ..machine.sequencer import Sequencer
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
-from ..machine.memory import parity_word
 from .cm_array import CMArray
 from .faults import FaultGuard, NonFiniteInputError
 from .halo import halo_buffer_name
@@ -179,30 +182,32 @@ def check_finite_arrays(
             )
 
 
-def node_execute_exact(
+def exact_walk(
     compiled: CompiledStencil,
-    node: Node,
+    memory: MemoryPort,
     schedule: StripSchedule,
     *,
     source_name: str,
     result_name: str,
     halo: int,
-) -> int:
-    """Run one node's whole subgrid through the cycle-stepped datapath.
-
-    Returns the exact cycle count (identical on every node: the machine
-    is synchronous SIMD).
+) -> FpuStats:
+    """Walk the sequencer once over the strip schedule and return the
+    WTL3164's cycle accounting.  ``memory`` is one node's
+    :class:`~repro.machine.memory.NodeMemory`, or every node's at once
+    through a :class:`~repro.machine.memory.MachinePort`.
     """
     params = compiled.params
-    node.memory.ensure_constant_pages(compiled.scalar_coefficient_values())
+    memory.ensure_constant_pages(compiled.scalar_coefficient_values())
     any_plan = next(iter(compiled.plans.values()))
-    fpu = node.make_fpu(
+    fpu = Wtl3164(
+        params,
+        memory,
         zero_reg=any_plan.allocation.zero_reg,
         unit_reg=any_plan.allocation.unit_reg,
     )
     sequencer = Sequencer(
         params,
-        node.memory,
+        memory,
         source_buffer=halo_buffer_name(source_name),
         result_buffer=result_name,
         halo=halo,
@@ -213,7 +218,64 @@ def node_execute_exact(
             if job.lines > 0:
                 sequencer.run_half_strip(strip.plan, job, fpu)
     fpu.drain()
-    return fpu.stats.cycles
+    return fpu.stats
+
+
+def machine_execute_exact(
+    compiled: CompiledStencil,
+    machine: CM2,
+    schedule: StripSchedule,
+    *,
+    source_name: str,
+    result_name: str,
+    halo: int,
+) -> int:
+    """Run every node's subgrid through the cycle-stepped datapath in
+    one sequencer walk, each cycle's float32 work applied to all nodes
+    at once (the machine is synchronous SIMD).
+
+    Returns the exact cycle count, which is every node's count.  Each
+    node's result is bit-identical to :func:`node_execute_exact` on that
+    node alone.
+    """
+    port = MachinePort(machine)
+    try:
+        stats = exact_walk(
+            compiled,
+            port,
+            schedule,
+            source_name=source_name,
+            result_name=result_name,
+            halo=halo,
+        )
+    finally:
+        port.settle()
+    return stats.cycles
+
+
+def node_execute_exact(
+    compiled: CompiledStencil,
+    node: Node,
+    schedule: StripSchedule,
+    *,
+    source_name: str,
+    result_name: str,
+    halo: int,
+) -> int:
+    """Run one node's whole subgrid through the cycle-stepped datapath:
+    the one-node walk of :func:`machine_execute_exact`.
+
+    Returns the exact cycle count (identical on every node: the machine
+    is synchronous SIMD).
+    """
+    return exact_walk(
+        compiled,
+        node.memory,
+        schedule,
+        source_name=source_name,
+        result_name=result_name,
+        halo=halo,
+    ).cycles
 
 
 def node_execute_fast(
