@@ -164,7 +164,10 @@ class CM2:
 
     def lost_coords(self) -> Tuple[NodeCoord, ...]:
         """Logical coordinates currently backed by a dead physical node
-        (i.e. in need of a remap before any exchange can complete)."""
+        (i.e. in need of a remap before any exchange can complete).
+        Returns at once on a machine with no dead node."""
+        if not self.health.dead_nodes:
+            return ()
         return tuple(
             coord
             for coord in all_coords(self.shape)
@@ -174,7 +177,10 @@ class CM2:
         )
 
     def slow_coords(self) -> Tuple[NodeCoord, ...]:
-        """Logical coordinates backed by a degraded (slow) physical node."""
+        """Logical coordinates backed by a degraded (slow) physical node.
+        Returns at once on a machine with no slow node."""
+        if not self.health.slow_nodes:
+            return ()
         return tuple(
             coord
             for coord in all_coords(self.shape)
@@ -308,17 +314,18 @@ class CM2:
     ) -> np.ndarray:
         """A reusable machine-wide scratch stack (no node views).
 
-        Used by the temporal-blocking executor for deep-padded iterate
-        and coefficient buffers, and (with ``lead_shape``) by the
-        batched multi-convolution runtime; see
-        :meth:`~repro.machine.memory.MachineStorage.scratch`.
+        Used (with ``lead_shape``) by the batched multi-convolution
+        runtime; the temporal-blocking working set is allocated
+        lane-minor through
+        :meth:`~repro.machine.memory.MachineStorage.scratch` instead.
         """
         return self.storage.scratch(name, buffer_shape, lead_shape)
 
     def pingpong_stacked(
         self, name: str, buffer_shape: Tuple[int, int]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The preallocated ping-pong scratch pair for ``name``."""
+        """The preallocated (lane-minor) ping-pong scratch pair for
+        ``name``."""
         return self.storage.pingpong(name, buffer_shape)
 
     def peak_gflops(self) -> float:

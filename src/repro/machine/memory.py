@@ -322,7 +322,9 @@ class MachineStorage:
     executor's deep-padded iterates and coefficient halos.  They are
     allocated once per (name, shape) and reused across calls;
     :attr:`scratch_allocations` counts actual allocations so tests can
-    assert that warm steady-state runs allocate nothing.
+    assert that warm steady-state runs allocate nothing.  The
+    temporal-blocking working set is allocated *lane-minor* (see
+    :meth:`scratch`): every caller still sees native-order shapes.
     """
 
     def __init__(self, grid_shape: Tuple[int, int]) -> None:
@@ -415,6 +417,8 @@ class MachineStorage:
         name: str,
         buffer_shape: Tuple[int, int],
         lead_shape: Tuple[int, ...] = (),
+        *,
+        lane_minor: bool = False,
     ) -> np.ndarray:
         """A reusable machine-wide scratch stack of per-node shape
         ``buffer_shape`` (with optional batch/filter axes ahead of the
@@ -425,17 +429,29 @@ class MachineStorage:
         reused verbatim when the shape matches the previous request, so
         steady-state iterated runs perform no allocation.  Contents are
         *not* cleared between calls; callers overwrite what they read.
+
+        ``lane_minor`` stores the stack as one C-contiguous base of
+        shape ``(rows, cols, *lead_shape, grid_rows, grid_cols)`` --
+        subgrid axes first, every node (and batch copy) of one local
+        address adjacent -- and returns the cached native-order
+        ``np.moveaxis`` view of it, so the shape, indexing and logical
+        words are those of a native stack.  ``view.base`` is the base.
         """
         rows, cols = buffer_shape
-        shape = tuple(int(n) for n in lead_shape) + (
-            self.grid_shape[0],
-            self.grid_shape[1],
-            rows,
-            cols,
-        )
+        lead = tuple(int(n) for n in lead_shape)
+        shape = lead + (self.grid_shape[0], self.grid_shape[1], rows, cols)
         stack = self._scratch.get(name)
-        if stack is None or stack.shape != shape:
-            stack = np.zeros(shape, dtype=np.float32)
+        # A native stack owns its memory; a lane-minor one is a view.
+        if (
+            stack is None
+            or stack.shape != shape
+            or (stack.base is not None) != lane_minor
+        ):
+            if lane_minor:
+                base = np.zeros((rows, cols) + shape[:-2], dtype=np.float32)
+                stack = np.moveaxis(base, (0, 1), (-2, -1))
+            else:
+                stack = np.zeros(shape, dtype=np.float32)
             self._scratch[name] = stack
             self.scratch_allocations += 1
         return stack
@@ -443,11 +459,12 @@ class MachineStorage:
     def pingpong(
         self, name: str, buffer_shape: Tuple[int, int]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The two preallocated ping-pong stacks backing ``name``'s
-        temporally blocked iterates (allocated once, reused)."""
+        """The two preallocated lane-minor ping-pong stacks backing
+        ``name``'s temporally blocked iterates (allocated once,
+        reused)."""
         return (
-            self.scratch(f"{name}__ping__", buffer_shape),
-            self.scratch(f"{name}__pong__", buffer_shape),
+            self.scratch(f"{name}__ping__", buffer_shape, lane_minor=True),
+            self.scratch(f"{name}__pong__", buffer_shape, lane_minor=True),
         )
 
     # ------------------------------------------------------------------

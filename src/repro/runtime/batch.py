@@ -812,14 +812,15 @@ def _run_blocked(
             deep = deeps[fi]
             blocks = list(block_steps(iterations, depths[fi]))
             padded_shape = (rows + 2 * deep, cols + 2 * deep)
-            ping = machine.scratch_stacked(
-                f"__batch_blk_ping_{gi}_{fi}__", padded_shape, (batch,)
-            )
-            pong = machine.scratch_stacked(
-                f"__batch_blk_pong_{gi}_{fi}__", padded_shape, (batch,)
-            )
-            prod = machine.scratch_stacked(
-                f"__batch_blk_prod_{gi}_{fi}__", padded_shape, (batch,)
+            # The blocked working set is lane-minor, like the solo one.
+            ping, pong, prod = (
+                machine.storage.scratch(
+                    f"__batch_blk_{role}_{gi}_{fi}__",
+                    padded_shape,
+                    (batch,),
+                    lane_minor=True,
+                )
+                for role in ("ping", "pong", "prod")
             )
             deep_coeffs: Dict[str, np.ndarray] = {}
             for name in array_coefficient_names(pattern):
@@ -828,8 +829,10 @@ def _run_blocked(
                     # One 4-d exchange serves every batch entry -- the
                     # coefficients are shared across the batch, so this
                     # is charged ONCE, not `batch` times.
-                    buf = machine.scratch_stacked(
-                        f"{name}__deep{deep}_g{gi}__", padded_shape
+                    buf = machine.storage.scratch(
+                        f"{name}__deep{deep}_g{gi}__",
+                        padded_shape,
+                        lane_minor=True,
                     )
                     coeff_stats = exchange_halo_deep(
                         coeff_stacks[name],

@@ -498,6 +498,15 @@ def machine_execute_blocked(
     sub-iterations.  The final region is parity- and finiteness-checked
     before the block returns, so corruption injected after the last
     seal cannot escape.
+
+    The tap loop indexes every operand *lane-minor*: subgrid axes first,
+    then the lead axes and the node grid (the machine is synchronous
+    SIMD -- one local address, every node at once).  Any layout gives
+    the same bits; on the lane-minor stacks of
+    :meth:`~repro.machine.memory.MachineStorage.scratch` each ufunc
+    streams contiguous runs of at least ``nodes * lead`` floats instead
+    of one node's tile row.  Everything else (FILL, seals, the fixed
+    point check, the injector) works on the native-order views.
     """
     rows, cols = subgrid_shape
     deep = steps * pad
@@ -512,6 +521,17 @@ def machine_execute_blocked(
     )
     fill = np.float32(pattern.fill_value)
 
+    # Lane-minor views, built once per block; 4-d coefficient stacks
+    # broadcast across any lead (batch) axes of the iterates.
+    lead = ping.ndim - 4
+    src_lanes, dst_lanes = _lane_minor(ping), _lane_minor(pong)
+    prod_lanes = _lane_minor(scratch)
+    coeff_lanes = {
+        name: np.expand_dims(
+            _lane_minor(stack), tuple(range(2, 2 + lead - (stack.ndim - 4)))
+        )
+        for name, stack in deep_coeffs.items()
+    }
     src, dst = ping, pong
     sealed: Optional[int] = None
     sealed_view: Optional[np.ndarray] = None
@@ -532,16 +552,16 @@ def machine_execute_blocked(
             # Accumulate straight into the destination region; the
             # rounding chain is the per-tap multiply and add of
             # machine_execute_fast, only the final buffer copy is gone.
-            # Leading batch axes (if any) ride along: the subgrid axes
-            # sit at -2/-1 and 4-d coefficient stacks broadcast across
-            # the batch, so the per-element float32 chain is unchanged.
-            acc = dst[..., base : base + out_rows, base : base + out_cols]
-            prod = scratch[..., :out_rows, :out_cols]
+            # Float32 multiply and add are elementwise and the taps stay
+            # in statement order, so neither the lane-minor iteration
+            # order nor the batch axes riding along change any bits.
+            acc = dst_lanes[base : base + out_rows, base : base + out_cols]
+            prod = prod_lanes[:out_rows, :out_cols]
             acc[...] = np.float32(0.0)
             for tap in pattern.taps:
                 if tap.coeff.kind is CoeffKind.ARRAY:
-                    coeff = deep_coeffs[tap.coeff.name][
-                        ..., base : base + out_rows, base : base + out_cols
+                    coeff = coeff_lanes[tap.coeff.name][
+                        base : base + out_rows, base : base + out_cols
                     ]
                 elif tap.coeff.kind is CoeffKind.SCALAR:
                     coeff = np.float32(tap.coeff.value)
@@ -550,8 +570,7 @@ def machine_execute_blocked(
                 if tap.is_constant_term:
                     np.multiply(np.float32(1.0), coeff, out=prod)
                 else:
-                    window = src[
-                        ...,
+                    window = src_lanes[
                         base + tap.dy : base + tap.dy + out_rows,
                         base + tap.dx : base + tap.dx + out_cols,
                     ]
@@ -588,6 +607,7 @@ def machine_execute_blocked(
             if guard is not None:
                 guard.inject_scratch([("ping stack", ping), ("pong stack", pong)])
             src, dst = dst, src
+            src_lanes, dst_lanes = dst_lanes, src_lanes
     if guard is not None:
         # The last seal covers exactly the final subgrid region; verify
         # it so a flip injected after the last sub-iteration (or a NaN
@@ -598,6 +618,12 @@ def machine_execute_blocked(
             "temporal block output",
         )
     return src, False
+
+
+def _lane_minor(stack: np.ndarray) -> np.ndarray:
+    """``stack`` (``(..., grid_rows, grid_cols, rows, cols)``) indexed
+    subgrid axes first: ``(rows, cols, ..., grid_rows, grid_cols)``."""
+    return np.moveaxis(stack, (-2, -1), (0, 1))
 
 
 def _stacked_coefficient(coeff, stacks: Dict[str, np.ndarray]):

@@ -418,8 +418,12 @@ def _apply_blocked(
     deep = depth * pad
     padded_shape = (rows + 2 * deep, cols + 2 * deep)
     halo_name = halo_buffer_name(source.name)
+    # The working set is lane-minor (see MachineStorage.scratch): only
+    # the blocked executor's tap loop sees the difference.
     ping, pong = machine.pingpong_stacked(halo_name, padded_shape)
-    scratch = machine.scratch_stacked(f"{halo_name}__prod__", padded_shape)
+    scratch = machine.storage.scratch(
+        f"{halo_name}__prod__", padded_shape, lane_minor=True
+    )
 
     costs = blocked_costs(compiled, source.subgrid_shape, iterations, depth)
     blocks = list(block_steps(iterations, depth))
@@ -444,8 +448,8 @@ def _apply_blocked(
                 for coeff_index, name in enumerate(coeff_names):
                     if guard is not None:
                         guard.replaying = coeff_index < coeff_high
-                    buf = machine.scratch_stacked(
-                        f"{name}__deep__", padded_shape
+                    buf = machine.storage.scratch(
+                        f"{name}__deep__", padded_shape, lane_minor=True
                     )
                     exchange_halo_deep(
                         coeff_stacks[name],

@@ -188,6 +188,30 @@ class TestMachineHealth:
         assert health.node_dead(3)
         assert not health.node_slow(3)
 
+    def test_healthy_machine_walks_no_coordinate(self, monkeypatch):
+        # Every guarded exchange asks for lost and slow nodes; a healthy
+        # machine must answer without visiting its coordinates.
+        machine = CM2(MachineParams(num_nodes=1024))
+
+        def walked(*args, **kwargs):
+            raise AssertionError("walked the coordinates")
+
+        monkeypatch.setattr("repro.machine.machine.all_coords", walked)
+        assert machine.lost_coords() == ()
+        assert machine.slow_coords() == ()
+
+    def test_dead_and_slow_nodes_reported_until_remapped(self):
+        machine = CM2(MachineParams(num_nodes=16), spares=2)
+        machine.health.mark_node_dead(machine.physical_id(1, 2))
+        machine.health.mark_node_slow(machine.physical_id(3, 0))
+        assert [(c.row, c.col) for c in machine.lost_coords()] == [(1, 2)]
+        assert [(c.row, c.col) for c in machine.slow_coords()] == [(3, 0)]
+        machine.remap_node(1, 2)
+        assert machine.lost_coords() == ()
+        assert [(c.row, c.col) for c in machine.slow_coords()] == [(3, 0)]
+        machine.remap_node(3, 0)
+        assert machine.slow_coords() == ()
+
 
 # ----------------------------------------------------------------------
 # Satellite: policy validation

@@ -31,8 +31,40 @@ from repro.service import (
     partition_machine,
     solo_run,
 )
+from repro.service import scheduler as scheduler_module
 
 PARAMS = MachineParams(num_nodes=16)  # a 4x4 node grid
+
+
+class _HeldJob:
+    """Hold every attempt of the job labelled ``label`` inside
+    ``execute_job`` until :meth:`release` -- a deterministic seam in
+    place of racing the job's run time.  ``started`` is set once the
+    held attempt is running."""
+
+    def __init__(self, monkeypatch, label):
+        self.started = threading.Event()
+        self._released = threading.Event()
+        real = scheduler_module.execute_job
+
+        def held(job, *args, **kwargs):
+            if job.label == label:
+                self.started.set()
+                # Backstop only: every test releases well before this.
+                self._released.wait(60.0)
+            return real(job, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "execute_job", held)
+
+    def release(self):
+        self._released.set()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        # Never leave a worker parked: the scheduler's close() joins it.
+        self.release()
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +353,29 @@ class TestScheduler:
         for tenant in ("alice", "bob"):
             assert accounts.tenants[tenant].faults_injected == 0
 
-    def test_priority_orders_waiting_jobs(self):
+    def test_priority_orders_waiting_jobs(self, monkeypatch):
         """On a single-tile pool, queued jobs run highest-priority
         first, FIFO within a priority."""
         pool = MachinePool(PARAMS, default_partition=(4, 4))
-        with Scheduler(pool) as scheduler:
-            head = scheduler.submit(
-                StencilJob(tenant="head", iterations=6, grid_shape=(16, 16))
+        with Scheduler(pool) as scheduler, _HeldJob(
+            monkeypatch, "head"
+        ) as held:
+            scheduler.submit(
+                StencilJob(
+                    tenant="head", iterations=6, grid_shape=(16, 16),
+                    label="head",
+                )
             )
-            # Wait until "head" holds the only tile, so the rest queue
-            # behind it and drain strictly by priority.
-            deadline = time.perf_counter() + 30
-            while head.started_wall is None:
-                assert time.perf_counter() < deadline, "head never started"
-                time.sleep(0.001)
+            # "head" holds the only tile until released, so the rest
+            # queue behind it and drain strictly by priority.
+            assert held.started.wait(60.0)
             for tenant, priority in (("low", 0), ("high", 5), ("mid", 2)):
                 scheduler.submit(
                     StencilJob(
                         tenant=tenant, priority=priority, grid_shape=(16, 16)
                     )
                 )
+            held.release()
             scheduler.drain(timeout=120)
             order = [r.job.tenant for r in scheduler.accounts.records]
         assert order == ["head", "high", "mid", "low"]
@@ -546,10 +581,15 @@ class TestServicePolicy:
 
 
 class TestTypedOutcomes:
-    def test_result_wait_timeout_is_typed_with_tenant_and_label(self):
+    def test_result_wait_timeout_is_typed_with_tenant_and_label(
+        self, monkeypatch
+    ):
         # Satellite 1: an expired result() wait raises JobTimeoutError,
-        # not a bare TimeoutError, and names the tenant and job.
-        with Scheduler(MachinePool(PARAMS)) as scheduler:
+        # not a bare TimeoutError, and names the tenant and job.  The
+        # job is held until the wait has expired.
+        with Scheduler(MachinePool(PARAMS)) as scheduler, _HeldJob(
+            monkeypatch, "glacier"
+        ) as held:
             handle = scheduler.submit(
                 StencilJob(
                     tenant="slow",
@@ -563,6 +603,7 @@ class TestTypedOutcomes:
             assert excinfo.value.tenant == "slow"
             assert excinfo.value.label == "glacier"
             assert isinstance(excinfo.value, TimeoutError)
+            held.release()
             # The job itself was unaffected by the caller's impatience.
             assert handle.result(timeout=60.0).job.label == "glacier"
 
@@ -609,15 +650,22 @@ class TestTypedOutcomes:
         assert isinstance(excinfo.value.fault, FaultError)
         assert scheduler.accounts.tenants["t"].failures == 1
 
-    def test_cancelling_a_queued_job_charges_nothing(self):
+    def test_cancelling_a_queued_job_charges_nothing(self, monkeypatch):
         # Satellite 4: cancel removes a queued job; the tenant's cycle
-        # ledger stays empty and the outcome is typed.
+        # ledger stays empty and the outcome is typed.  The one worker
+        # is held on the first job, so the second stays queued.
         pool = MachinePool(PARAMS, default_partition=(4, 4))
-        with Scheduler(pool, max_workers=1) as scheduler:
+        with Scheduler(pool, max_workers=1) as scheduler, _HeldJob(
+            monkeypatch, "hog"
+        ) as held:
             running = scheduler.submit(
-                StencilJob(tenant="busy", grid_shape=(64, 64), iterations=8)
+                StencilJob(
+                    tenant="busy", grid_shape=(64, 64), iterations=8,
+                    label="hog",
+                )
             )
-            assert _wait_until(lambda: running.outcome == "running")
+            assert held.started.wait(60.0)
+            assert running.outcome == "running"
             queued = scheduler.submit(
                 StencilJob(tenant="victim", label="doomed")
             )
@@ -627,6 +675,7 @@ class TestTypedOutcomes:
                 queued.result(timeout=1.0)
             # Cancelling again (or cancelling a settled job) is a no-op.
             assert queued.cancel() is False
+            held.release()
             running.result(timeout=60.0)
         victim = scheduler.accounts.tenants["victim"]
         assert victim.cancelled == 1
@@ -634,8 +683,10 @@ class TestTypedOutcomes:
         assert victim.cycles == 0
         assert scheduler.accounts.reconcile()
 
-    def test_drain_races_a_concurrent_submitter(self):
+    def test_drain_races_a_concurrent_submitter(self, monkeypatch):
         # Satellite 4: drain must pick up jobs submitted while it runs.
+        # The first job is held until the late jobs are in, so the
+        # drain cannot finish before they are submitted.
         first = [
             StencilJob(
                 tenant="a", grid_shape=(32, 32), iterations=4, seed=i,
@@ -650,20 +701,24 @@ class TestTypedOutcomes:
             )
             for i in range(5)
         ]
-        with Scheduler(MachinePool(PARAMS)) as scheduler:
+        with Scheduler(MachinePool(PARAMS)) as scheduler, _HeldJob(
+            monkeypatch, "first-0"
+        ) as held:
             scheduler.submit_all(first)
-            barrier = threading.Barrier(2)
 
             def submitter():
-                barrier.wait()
+                held.started.wait(60.0)
                 scheduler.submit_all(late)
+                held.release()
 
             thread = threading.Thread(target=submitter)
             thread.start()
-            barrier.wait()
             results = scheduler.drain(timeout=120.0)
             thread.join()
         assert len(results) == len(first) + len(late)
+        assert [r.job.label for r in results] == [
+            job.label for job in first + late
+        ]
         assert scheduler.accounts.reconcile()
 
 
@@ -798,15 +853,20 @@ class TestCircuitBreaker:
 
 
 class TestOverloadShedding:
-    def test_watermark_sheds_lowest_priority_first(self):
+    def test_watermark_sheds_lowest_priority_first(self, monkeypatch):
         pool = MachinePool(PARAMS, default_partition=(4, 4))
         policy = _fast_policy(max_queue_depth=1)
-        with Scheduler(pool, service_policy=policy, max_workers=1) as sched:
+        with Scheduler(
+            pool, service_policy=policy, max_workers=1
+        ) as sched, _HeldJob(monkeypatch, "running") as held:
             running = sched.submit(
                 StencilJob(tenant="t", grid_shape=(64, 64), iterations=8,
                            priority=5, label="running")
             )
-            assert _wait_until(lambda: running.outcome == "running")
+            # The one worker is held on this job until every admission
+            # decision below has been made.
+            assert held.started.wait(60.0)
+            assert running.outcome == "running"
             queued = sched.submit(
                 StencilJob(tenant="t", grid_shape=(16, 16), priority=5,
                            seed=1, label="queued")
@@ -825,6 +885,7 @@ class TestOverloadShedding:
             )
             assert queued.outcome == "shed"
             assert isinstance(queued.error, OverloadError)
+            held.release()
             running.result(timeout=60.0)
             vip.result(timeout=60.0)
         accounts = sched.accounts

@@ -14,10 +14,15 @@ import pytest
 
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
+from repro.machine.memory import MachineStorage
 from repro.machine.params import MachineParams
 from repro.runtime import stencil_op
+from repro.runtime.batch import CMBatch, apply_stencil_batch
 from repro.runtime.blocking import blocked_costs, depth_cap
 from repro.runtime.cm_array import CMArray
+from repro.runtime.executor import machine_execute_blocked
+from repro.runtime.faults import FaultInjector, FaultKind
+from repro.runtime.halo import exchange_halo_deep, halo_buffer_name
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross, diamond, square
 from repro.stencil.offsets import BoundaryMode
@@ -308,3 +313,188 @@ class TestPerNodeFixedPoint:
         assert run.comm_cycles_total == 50 * run.comm.cycles
         one = apply_stencil(compiled, x, coeffs, "R1", batched=False)
         assert run.elapsed_seconds == pytest.approx(50 * one.elapsed_seconds)
+
+
+# ---------------------------------------------------------------------------
+# The lane-minor working set
+# ---------------------------------------------------------------------------
+
+LAYOUT_GRID = (2, 2)
+LAYOUT_SUBGRID = (12, 12)
+LAYOUT_CASES = [
+    (patname, make, depth, tail, lead)
+    for patname, make in GALLERY
+    for depth in (2, 3, 4)
+    # A tail block runs one step fewer inside the full-depth buffers.
+    for tail in (False, True)
+    for lead in ((), (3,))
+    if depth * make().border_widths().max_width <= min(LAYOUT_SUBGRID)
+]
+
+
+def run_one_block(pattern, *, depth, tail, lead, lane_minor, seed=0):
+    """One ``machine_execute_blocked`` call on buffers allocated
+    lane-minor or native, exactly as the blocked orchestrators lay them
+    out.  Returns the block's subgrid output and its fixed-point flag."""
+    rows, cols = LAYOUT_SUBGRID
+    params = MachineParams(num_nodes=LAYOUT_GRID[0] * LAYOUT_GRID[1])
+    storage = MachineStorage(LAYOUT_GRID)
+    rng = np.random.default_rng(seed)
+    source = rng.standard_normal(
+        lead + LAYOUT_GRID + LAYOUT_SUBGRID
+    ).astype(np.float32)
+    pad = pattern.border_widths().max_width
+    steps = depth - 1 if tail else depth
+    deep, deep_b = depth * pad, steps * pad
+    padded_shape = (rows + 2 * deep, cols + 2 * deep)
+    ping, pong, prod = (
+        storage.scratch(role, padded_shape, lead, lane_minor=lane_minor)
+        for role in ("ping", "pong", "prod")
+    )
+    deep_coeffs = {}
+    for name in pattern.coefficient_names():
+        coeff = rng.standard_normal(LAYOUT_GRID + LAYOUT_SUBGRID)
+        buf = storage.scratch(
+            f"{name}__deep__", padded_shape, lane_minor=lane_minor
+        )
+        exchange_halo_deep(
+            coeff.astype(np.float32), buf, pattern, LAYOUT_SUBGRID, params,
+            depth,
+        )
+        deep_coeffs[name] = buf
+    delta = deep - deep_b
+    window = (
+        Ellipsis,
+        slice(delta, delta + rows + 2 * deep_b),
+        slice(delta, delta + cols + 2 * deep_b),
+    )
+    ping, pong = ping[window], pong[window]
+    deep_coeffs = {name: buf[window] for name, buf in deep_coeffs.items()}
+    exchange_halo_deep(source, ping, pattern, LAYOUT_SUBGRID, params, steps)
+    final, fixed = machine_execute_blocked(
+        pattern,
+        ping=ping,
+        pong=pong,
+        deep_coeffs=deep_coeffs,
+        subgrid_shape=LAYOUT_SUBGRID,
+        pad=pad,
+        steps=steps,
+        scratch=prod,
+    )
+    out = final[..., deep_b : deep_b + rows, deep_b : deep_b + cols]
+    return np.ascontiguousarray(out), fixed
+
+
+def lanes_first(stack):
+    return np.moveaxis(stack, (-2, -1), (0, 1))
+
+
+class TestLaneMinorLayout:
+    @pytest.mark.parametrize("mode", ["torus", "fill", "mixed"])
+    @pytest.mark.parametrize(
+        "patname,make,depth,tail,lead",
+        LAYOUT_CASES,
+        ids=[
+            f"{p}-T{d}{'-tail' if t else ''}{'-batch' if lead else ''}"
+            for p, _, d, t, lead in LAYOUT_CASES
+        ],
+    )
+    def test_lane_minor_equals_native_as_uint32(
+        self, patname, make, depth, tail, lead, mode
+    ):
+        pattern = boundary_variant(make(), mode, fill_value=1.5)
+        native, fixed_native = run_one_block(
+            pattern, depth=depth, tail=tail, lead=lead, lane_minor=False
+        )
+        lanes, fixed_lanes = run_one_block(
+            pattern, depth=depth, tail=tail, lead=lead, lane_minor=True
+        )
+        np.testing.assert_array_equal(
+            lanes.view(np.uint32), native.view(np.uint32)
+        )
+        assert fixed_lanes == fixed_native
+
+    def test_solo_working_set_is_lane_minor(self):
+        pattern = square(1)
+        machine, compiled, x, coeffs = make_problem(pattern, seed=14)
+        apply_stencil(compiled, x, coeffs, "R", iterations=5, block_depth=2)
+        halo = halo_buffer_name("X")
+        names = [f"{halo}__ping__", f"{halo}__pong__", f"{halo}__prod__"]
+        names += [f"{name}__deep__" for name in pattern.coefficient_names()]
+        padded = tuple(n + 4 for n in x.subgrid_shape)
+        for name in names:
+            stack = machine.storage.lookup(name)
+            assert stack.shape == machine.shape + padded, name
+            assert lanes_first(stack).flags.c_contiguous, name
+        # Distributed arrays keep the native layout.
+        assert machine.stacked("X").flags.c_contiguous
+
+    def test_batch_working_set_is_lane_minor(self):
+        params = MachineParams(num_nodes=4)
+        machine = CM2(params, shape=(2, 2))
+        patterns = [cross(1), square(1)]
+        filters = [compile_stencil(p, params) for p in patterns]
+        rng = np.random.default_rng(15)
+        source = CMBatch.from_numpy(
+            "Xb", machine, rng.standard_normal((2,) + SHAPE).astype(np.float32)
+        )
+        coeffs = {
+            name: CMArray.from_numpy(
+                name, machine, rng.standard_normal(SHAPE).astype(np.float32)
+            )
+            for name in sorted(
+                {n for p in patterns for n in p.coefficient_names()}
+            )
+        }
+        apply_stencil_batch(
+            filters, source, coeffs, iterations=5, block_depth=2
+        )
+        stacks = dict(machine.storage.tile_stacks())
+        iterates = [n for n in stacks if n.startswith("__batch_blk_")]
+        deep_coeffs = [
+            n for n in stacks if "__deep" in n and n.split("__")[0] in coeffs
+        ]
+        assert len(iterates) == 3 * len(filters)  # ping, pong, prod
+        assert {n.split("__")[0] for n in deep_coeffs} == set(coeffs)
+        for name in iterates + deep_coeffs:
+            assert lanes_first(stacks[name]).flags.c_contiguous, name
+        # The shared group exchange and the unblocked scratch are native.
+        shared = machine.storage.lookup("__batch_deep_g0__")
+        assert shared.flags.c_contiguous
+
+    @pytest.mark.parametrize("lane_minor", [False, True])
+    def test_scratch_bitflip_reports_the_native_index_it_flipped(
+        self, lane_minor
+    ):
+        storage = MachineStorage((2, 4))
+        stack = storage.scratch(
+            "ping", (6, 5), (3,), lane_minor=lane_minor
+        )
+        stack[...] = np.arange(stack.size, dtype=np.float32).reshape(
+            stack.shape
+        )
+        before = stack.copy()
+        injector = FaultInjector(
+            seed=21, rates={FaultKind.SCRATCH_BITFLIP: 1.0}
+        )
+        (event,) = injector.inject_scratch([("ping stack", stack)])
+        changed = np.argwhere(
+            stack.view(np.uint32) != before.view(np.uint32)
+        )
+        assert len(changed) == 1
+        index = tuple(int(i) for i in changed[0])
+        bit = int(event.detail.split()[1])
+        assert event.detail == f"bit {bit} at {index}"
+        assert stack.view(np.uint32)[index] == (
+            before.view(np.uint32)[index] ^ np.uint32(1 << bit)
+        )
+        # The same seed flips the same logical word in either layout.
+        native = MachineStorage((2, 4)).scratch("ping", (6, 5), (3,))
+        native[...] = before
+        (again,) = FaultInjector(
+            seed=21, rates={FaultKind.SCRATCH_BITFLIP: 1.0}
+        ).inject_scratch([("ping stack", native)])
+        assert again.detail == event.detail
+        np.testing.assert_array_equal(
+            native.view(np.uint32), stack.view(np.uint32)
+        )
