@@ -569,9 +569,6 @@ def _run_unblocked(
     pass_cycles = [schedule.compute_cycles(params) for schedule in schedules]
     pass_strips = [schedule.num_half_strips for schedule in schedules]
 
-    acc = machine.scratch_stacked("__batch_acc__", subgrid_shape, (batch,))
-    prod = machine.scratch_stacked("__batch_prod__", subgrid_shape, (batch,))
-
     # ABFT per filter: each filter's result slab gets its own seal
     # (sealed after the pass, SDC window opened, verified before the
     # next gather reads it and once more at run end).  The checksum
@@ -683,8 +680,6 @@ def _run_unblocked(
                         coeff_stacks=coeff_stacks,
                         halo=width,
                         out=out,
-                        acc=acc,
-                        scratch=prod,
                     )
                     counters["host_half_strips"] += pass_strips[fi]
                     if guard is None:

@@ -17,7 +17,7 @@ Two execution modes with identical semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -278,6 +278,134 @@ def node_execute_exact(
     ).cycles
 
 
+#: Floats per tile of :func:`accumulate_taps`: 256 KiB per float32
+#: operand, so a tile's accumulator, product, coefficient and source
+#: windows stay resident in L2 across the whole multiply-add chain
+#: (see docs/INTERNALS.md, "Cache-tiled tap accumulation").
+_TILE_FLOATS = 1 << 16
+
+
+class FastPass(NamedTuple):
+    """A :func:`machine_execute_fast` pass that ran (always truthy)."""
+
+    fixed_point: bool  # the result bit-equals its source interior
+
+
+def accumulate_taps(
+    pattern: StencilPattern,
+    padded: np.ndarray,
+    operands: Dict[str, np.ndarray],
+    halo: int,
+    out: np.ndarray,
+    *,
+    fixed_point: bool = False,
+) -> bool:
+    """The fast tap chain, ``out = sum(coeff * shifted padded)``: taps
+    in statement order, then fused extra terms, with float32 rounding
+    after every multiply and every add -- the WTL3164's chained
+    multiply-add semantics, so ``out`` is bit-identical to exact mode.
+
+    ``out`` is ``(*lead, rows, cols)`` with any number of leading axes
+    (none for one node, the node grid for the machine, batch axes ahead
+    of that); ``padded`` shares them around a ``halo``-wide ring.
+    ``operands`` maps every ARRAY coefficient and fused extra source to
+    an unpadded stack aligned with ``out``'s trailing axes (a 4-d
+    coefficient broadcasts across batch axes).
+
+    Each tile of :func:`_tiles` runs the whole chain in tile-sized
+    buffers that stay in cache, then is written to ``out`` once.  The
+    per-element chain is the same under any tiling, so no bits move.
+
+    With ``fixed_point``, returns whether ``out`` bit-equals the interior
+    of ``padded`` (``np.array_equal``: a NaN is never a fixed point),
+    compared per tile while both are cache-resident and no longer once a
+    tile differs.  Otherwise returns False.
+    """
+    extra_terms = getattr(pattern, "extra_terms", ())
+    acc_flat = np.empty(min(out.size, _TILE_FLOATS), dtype=np.float32)
+    prod_flat = np.empty_like(acc_flat)
+    # The FPU saturates silently; overflow to inf is a data property,
+    # not an execution error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tile in _tiles(out.shape):
+            lead, rows, cols = tile[:-2], tile[-2], tile[-1]
+            target = out[tile]
+            acc = acc_flat[: target.size].reshape(target.shape)
+            prod = prod_flat[: target.size].reshape(target.shape)
+            acc[...] = np.float32(0.0)
+            for tap in pattern.taps:
+                coeff = _tile_coefficient(tap.coeff, operands, tile)
+                if tap.is_constant_term:
+                    np.multiply(np.float32(1.0), coeff, out=prod)
+                else:
+                    window = padded[
+                        lead
+                        + (_shift(rows, halo + tap.dy), _shift(cols, halo + tap.dx))
+                    ]
+                    np.multiply(coeff, window, out=prod)
+                np.add(acc, prod, out=acc)
+            for term in extra_terms:
+                coeff = _tile_coefficient(term.coeff, operands, tile)
+                data = _aligned(operands[term.source], tile)
+                np.multiply(coeff, data, out=prod)
+                np.add(acc, prod, out=acc)
+            if fixed_point:
+                fixed_point = np.array_equal(
+                    acc, padded[lead + (_shift(rows, halo), _shift(cols, halo))]
+                )
+            target[...] = acc
+    return fixed_point
+
+
+def _tiles(shape):
+    """Index tuples covering ``shape`` in tiles of at most
+    :data:`_TILE_FLOATS` elements: whole trailing axes while they fit,
+    then a chunk of the next axis outward, single indices further out."""
+    axis, inner = len(shape), 1
+    while axis and inner * shape[axis - 1] <= _TILE_FLOATS:
+        axis -= 1
+        inner *= shape[axis]
+    whole = tuple(slice(0, n) for n in shape[axis:])
+    if axis == 0:
+        return [whole]
+    split, step = axis - 1, _TILE_FLOATS // inner
+    extent = shape[split]
+    return [
+        outer + (slice(start, min(start + step, extent)),) + whole
+        for outer in np.ndindex(*shape[:split])
+        for start in range(0, extent, step)
+    ]
+
+
+def _shift(index, offset: int):
+    """A tile's subgrid index (an int or a slice) moved by ``offset``."""
+    if isinstance(index, slice):
+        return slice(index.start + offset, index.stop + offset)
+    return index + offset
+
+
+def _aligned(stack: np.ndarray, tile) -> np.ndarray:
+    """``stack``'s window over ``tile``, its axes aligned with the
+    tile's trailing axes."""
+    return stack[tile[len(tile) - stack.ndim :]]
+
+
+def _tile_coefficient(coeff, operands: Dict[str, np.ndarray], tile):
+    """A coefficient over ``tile``: its stack's window, or a float32
+    scalar (scalar-times-array float32 arithmetic rounds exactly like
+    the per-node full-page multiply)."""
+    if coeff.kind is CoeffKind.ARRAY:
+        return _aligned(operands[coeff.name], tile)
+    return np.float32(coeff.value if coeff.kind is CoeffKind.SCALAR else 1.0)
+
+
+def _operand_names(pattern: StencilPattern) -> set:
+    """Every unpadded array the tap chain reads: ARRAY coefficients
+    (extra terms' included) and fused extra sources."""
+    extra_terms = getattr(pattern, "extra_terms", ())
+    return set(pattern.coefficient_names()) | {t.source for t in extra_terms}
+
+
 def node_execute_fast(
     pattern: StencilPattern,
     node: Node,
@@ -286,39 +414,15 @@ def node_execute_fast(
     result_name: str,
     halo: int,
 ) -> None:
-    """Compute one node's subgrid vectorized, in schedule order.
-
-    Accumulates taps in statement order with float32 rounding after every
-    multiply and every add -- exactly the chained multiply-add semantics
-    of the WTL3164 model, so the result is bit-identical to exact mode.
-    """
-    padded = node.memory.buffer(halo_buffer_name(source_name))
-    result = node.memory.buffer(result_name)
-    rows, cols = result.shape
-    acc = np.zeros((rows, cols), dtype=np.float32)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _coefficient_subgrid(tap, node, rows, cols)
-            if tap.is_constant_term:
-                product = np.float32(1.0) * coeff
-            else:
-                window = padded[
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    product = np.float32(1.0) * window
-                else:
-                    product = coeff * window
-            acc = acc + product.astype(np.float32)
-        # Fused extra terms join the chain after the base taps, in order.
-        for term in getattr(pattern, "extra_terms", ()):
-            data = node.memory.buffer(term.source)
-            coeff = _term_coefficient_subgrid(term.coeff, node, rows, cols)
-            acc = acc + (coeff * data).astype(np.float32)
-    result[:] = acc
+    """One node's subgrid: :func:`accumulate_taps` on its own buffers."""
+    memory = node.memory
+    accumulate_taps(
+        pattern,
+        memory.buffer(halo_buffer_name(source_name)),
+        {name: memory.buffer(name) for name in _operand_names(pattern)},
+        halo,
+        memory.buffer(result_name),
+    )
 
 
 def machine_execute_fast(
@@ -329,76 +433,37 @@ def machine_execute_fast(
     result_name: str,
     halo: int,
     guard: Optional[FaultGuard] = None,
-) -> bool:
-    """Compute every node's subgrid in one batched tap-accumulation loop.
+    check_fixed_point: bool = False,
+) -> Union[FastPass, bool]:
+    """Every node's subgrid in one pass: :func:`accumulate_taps` over the
+    machine stacks (leading axes: the node grid), bit-identical to the
+    per-node loop and therefore to exact mode.
 
-    The machine-wide analogue of :func:`node_execute_fast`: one slice of
-    the stacked padded source per tap, one chained multiply-add per tap,
-    accumulated in statement order with float32 rounding after every
-    multiply and every add.  Because float32 arithmetic is elementwise
-    deterministic, the result is bit-identical to the per-node loop (and
-    therefore to exact mode) -- only the interpreter overhead changes:
-    O(taps) array operations total instead of O(taps) per node.
-
-    Returns True when the batched path ran; False (having written
-    nothing) when any involved buffer is not backed by intact machine
-    storage, in which case the caller must run the per-node loop.
+    Returns a :class:`FastPass` (whose ``fixed_point`` answers
+    ``check_fixed_point``) when the pass ran; False, having written
+    nothing, when any involved buffer is not backed by intact machine
+    storage -- the caller must then run the per-node loop.
     """
     halo_name = halo_buffer_name(source_name)
-    extra_terms = getattr(pattern, "extra_terms", ())
-    names = {halo_name, result_name}
-    for tap in pattern.taps:
-        if tap.coeff.kind is CoeffKind.ARRAY:
-            names.add(tap.coeff.name)
-    for term in extra_terms:
-        names.add(term.source)
-        if term.coeff.kind is CoeffKind.ARRAY:
-            names.add(term.coeff.name)
     stacks = {}
-    for name in names:
+    for name in _operand_names(pattern) | {halo_name, result_name}:
         stack = machine.stacked(name)
         if stack is None:
             return False
         stacks[name] = stack
-
-    padded = stacks[halo_name]
     result = stacks[result_name]
-    rows, cols = result.shape[2:]
-    # One accumulator and one product buffer for the whole machine; the
-    # in-place ufunc calls perform the same float32 multiply and add as
-    # the per-node temporaries, so the rounding chain is unchanged --
-    # they just skip the intermediate allocations.
-    acc = np.zeros(result.shape, dtype=np.float32)
-    scratch = np.empty(result.shape, dtype=np.float32)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _stacked_coefficient(tap.coeff, stacks)
-            if tap.is_constant_term:
-                np.multiply(np.float32(1.0), coeff, out=scratch)
-            else:
-                window = padded[
-                    :,
-                    :,
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    np.multiply(np.float32(1.0), window, out=scratch)
-                else:
-                    np.multiply(coeff, window, out=scratch)
-            np.add(acc, scratch, out=acc)
-        # Fused extra terms join the chain after the base taps, in order.
-        for term in extra_terms:
-            coeff = _stacked_coefficient(term.coeff, stacks)
-            np.multiply(coeff, stacks[term.source], out=scratch)
-            np.add(acc, scratch, out=acc)
-    result[...] = acc
+    fixed = accumulate_taps(
+        pattern,
+        stacks[halo_name],
+        stacks,
+        halo,
+        result,
+        fixed_point=check_fixed_point,
+    )
     if guard is not None:
         guard.inject_poison(result)
         guard.verify_finite(result, f"fast executor result {result_name!r}")
-    return True
+    return FastPass(fixed)
 
 
 def machine_execute_fast_stack(
@@ -408,50 +473,17 @@ def machine_execute_fast_stack(
     coeff_stacks: Dict[str, np.ndarray],
     halo: int,
     out: np.ndarray,
-    acc: np.ndarray,
-    scratch: np.ndarray,
 ) -> None:
-    """The fast tap-accumulation loop on raw stacks (batched runs).
-
-    Exactly :func:`machine_execute_fast`'s rounding chain -- taps in
-    statement order, float32 rounding after every multiply and every add
-    -- but operating on explicit arrays instead of named machine
-    buffers.  ``padded`` carries any leading batch axes ahead of the
-    node grid (subgrid axes at ``-2``/``-1``); 4-d coefficient stacks
-    broadcast across them, so one ufunc call per tap serves the whole
-    batch and every element's float32 chain matches the per-grid run
-    bit for bit.
-
-    ``out``, ``acc``, and ``scratch`` share ``padded``'s leading axes
-    with unpadded subgrid extents; ``acc`` is zeroed here.  Patterns
-    with fused extra terms are not supported on this path (the batch
-    entry point rejects them up front).
+    """:func:`accumulate_taps` on raw stacks (batched runs): ``padded``
+    and ``out`` carry batch axes ahead of the node grid, and the 4-d
+    coefficient stacks broadcast across them.  Fused extra terms are
+    not supported here (the batch entry point rejects them up front).
     """
     if getattr(pattern, "extra_terms", ()):
         raise ExecutionSetupError(
             "the stacked batch executor does not support fused extra terms"
         )
-    rows, cols = out.shape[-2:]
-    acc[...] = np.float32(0.0)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _stacked_coefficient(tap.coeff, coeff_stacks)
-            if tap.is_constant_term:
-                np.multiply(np.float32(1.0), coeff, out=scratch)
-            else:
-                window = padded[
-                    ...,
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    np.multiply(np.float32(1.0), window, out=scratch)
-                else:
-                    np.multiply(coeff, window, out=scratch)
-            np.add(acc, scratch, out=acc)
-    out[...] = acc
+    accumulate_taps(pattern, padded, coeff_stacks, halo, out)
 
 
 def machine_execute_blocked(
@@ -476,7 +508,7 @@ def machine_execute_blocked(
     stencil over the whole still-valid region -- the subgrid plus a
     ``(steps - 1 - t) * pad``-deep ghost ring -- accumulating taps in
     statement order with float32 rounding after every multiply and add,
-    exactly :func:`machine_execute_fast` over an enlarged subgrid.  The
+    exactly :func:`accumulate_taps` over an enlarged subgrid.  The
     ghost ring reproduces, bit for bit, what the neighbors compute in
     their own interiors (same data via the deep exchange, same
     coefficients via ``deep_coeffs``, same rounding chain), so consuming
@@ -551,7 +583,7 @@ def machine_execute_blocked(
                 )
             # Accumulate straight into the destination region; the
             # rounding chain is the per-tap multiply and add of
-            # machine_execute_fast, only the final buffer copy is gone.
+            # accumulate_taps, only the final buffer copy is gone.
             # Float32 multiply and add are elementwise and the taps stay
             # in statement order, so neither the lane-minor iteration
             # order nor the batch axes riding along change any bits.
@@ -574,10 +606,7 @@ def machine_execute_blocked(
                         base + tap.dy : base + tap.dy + out_rows,
                         base + tap.dx : base + tap.dx + out_cols,
                     ]
-                    if tap.coeff.kind is CoeffKind.UNIT:
-                        np.multiply(np.float32(1.0), window, out=prod)
-                    else:
-                        np.multiply(coeff, window, out=prod)
+                    np.multiply(coeff, window, out=prod)
                 np.add(acc, prod, out=acc)
             if row_fills:
                 dst[..., 0, :, :deep, :] = fill
@@ -624,31 +653,3 @@ def _lane_minor(stack: np.ndarray) -> np.ndarray:
     """``stack`` (``(..., grid_rows, grid_cols, rows, cols)``) indexed
     subgrid axes first: ``(rows, cols, ..., grid_rows, grid_cols)``."""
     return np.moveaxis(stack, (-2, -1), (0, 1))
-
-
-def _stacked_coefficient(coeff, stacks: Dict[str, np.ndarray]):
-    """The machine-wide coefficient operand: a stacked array or a scalar.
-
-    Scalar and unit coefficients multiply as float32 *scalars*; numpy's
-    scalar-times-array float32 arithmetic rounds identically to the
-    per-node full-page multiply, so the chain stays bit-exact.
-    """
-    if coeff.kind is CoeffKind.ARRAY:
-        return stacks[coeff.name]
-    if coeff.kind is CoeffKind.SCALAR:
-        return np.float32(coeff.value)
-    return np.float32(1.0)
-
-
-def _coefficient_subgrid(tap, node: Node, rows: int, cols: int) -> np.ndarray:
-    return _term_coefficient_subgrid(tap.coeff, node, rows, cols)
-
-
-def _term_coefficient_subgrid(
-    coeff, node: Node, rows: int, cols: int
-) -> np.ndarray:
-    if coeff.kind is CoeffKind.ARRAY:
-        return node.memory.buffer(coeff.name)
-    if coeff.kind is CoeffKind.SCALAR:
-        return np.full((rows, cols), np.float32(coeff.value), dtype=np.float32)
-    return np.ones((rows, cols), dtype=np.float32)

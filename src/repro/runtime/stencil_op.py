@@ -1008,7 +1008,7 @@ def _execute_pass_resilient(
                 f"fast executor result {result_name!r} on "
                 f"node({node.coord.row},{node.coord.col})",
             )
-    return expected_cycles, ran_batched
+    return expected_cycles, bool(ran_batched)
 
 
 def apply_stencil(
@@ -1160,12 +1160,16 @@ def apply_stencil(
                 _check_pass_cycles(cycles, pass_cycles)
                 cycles = pass_cycles
             else:
+                # Before the last iteration, the pass also checks for a
+                # fixed point tile by tile while the tiles are in cache.
+                check = iteration < iterations - 1
                 ran_batched = batched and machine_execute_fast(
                     pattern,
                     machine,
                     source_name=source.name,
                     result_name=result.name,
                     halo=pad,
+                    check_fixed_point=check,
                 )
                 if not ran_batched:
                     for node in machine.nodes():
@@ -1176,8 +1180,8 @@ def apply_stencil(
                             result_name=result.name,
                             halo=pad,
                         )
-                if iteration < iterations - 1 and (
-                    _at_fixed_point(machine, halo_name, result.name, pad)
+                if check and (
+                    ran_batched.fixed_point
                     if ran_batched
                     else _at_fixed_point_per_node(
                         machine, halo_name, result.name, pad
@@ -1202,7 +1206,7 @@ def apply_stencil(
         comm=comm,
         half_strips=schedule.num_half_strips,
         exact=exact,
-        batched=ran_batched,
+        batched=bool(ran_batched),
         num_exchanges=exchanges,
         total_comm_cycles=comm_cycles,
     )

@@ -206,6 +206,16 @@ class StencilPattern:
                 )
             seen[key] = tap
         self.taps: Tuple[Tap, ...] = tuple(taps)
+        # The taps never change after construction, so neither does the
+        # extent every exchange, cost call and block asks for.
+        dys = [tap.dy for tap in self.data_taps] or [0]
+        dxs = [tap.dx for tap in self.data_taps] or [0]
+        self._borders = BorderWidths(
+            north=max(0, -min(dys)),
+            south=max(0, max(dys)),
+            west=max(0, -min(dxs)),
+            east=max(0, max(dxs)),
+        )
         self.result = result
         self.source = source
         self.plane_dims = plane_dims
@@ -240,14 +250,7 @@ class StencilPattern:
 
     def border_widths(self) -> BorderWidths:
         """Extent of the pattern in each direction from its center."""
-        dys = [tap.dy for tap in self.data_taps] or [0]
-        dxs = [tap.dx for tap in self.data_taps] or [0]
-        return BorderWidths(
-            north=max(0, -min(dys)),
-            south=max(0, max(dys)),
-            west=max(0, -min(dxs)),
-            east=max(0, max(dxs)),
-        )
+        return self._borders
 
     def needs_corner_exchange(self) -> bool:
         """Whether any tap reaches a diagonal neighbor's data.
